@@ -2,9 +2,22 @@
 //!
 //! Both hashers expose a streaming API (`update` / `finalize`) and one-shot
 //! convenience functions ([`sha256`], [`sha512`]). The implementations are
-//! straightforward, allocation-free block compressors; throughput is good
-//! enough for the simulation workloads (hundreds of MB/s in release builds)
-//! and the micro-benchmarks in `setchain-bench` measure it.
+//! allocation-free block compressors, measured by the `crypto` micro-bench in
+//! `setchain-bench`.
+//!
+//! SHA-256 compression has two kernels. On x86_64 CPUs whose
+//! `is_x86_feature_detected!` reports `sha`, `ssse3` and `sse4.1` it runs on
+//! the SHA-NI instructions; elsewhere it runs the portable unrolled FIPS
+//! 180-4 code, which also serves as the reference the SHA-NI kernel is tested
+//! against. Detection runs once per process, nothing configures the choice,
+//! and [`sha256_backend`] reports it. Both kernels produce byte-identical
+//! digests, so every HMAC, Merkle root, epoch digest and simulated schedule
+//! is the same on either.
+//!
+//! The SHA-NI kernel is a safe `#[target_feature]` function: its intrinsics
+//! take and return values, never pointers. Calling it from code compiled
+//! without those features is the crate's one `unsafe` block, placed right
+//! after the detection that makes it sound.
 
 use std::fmt;
 
@@ -142,15 +155,16 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                sha256_compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        // One kernel call per run of whole blocks: the SHA-NI kernel moves
+        // the state into SSE lanes once per call, not once per block.
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            sha256_compress(&mut self.state, &data[..whole]);
+            data = &data[whole..];
         }
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
@@ -159,143 +173,325 @@ impl Sha256 {
     }
 
     /// Finishes the hash and returns the digest.
-    pub fn finalize(mut self) -> Digest256 {
-        self.finalize_digest()
+    pub fn finalize(self) -> Digest256 {
+        self.finalize_with(&[])
+    }
+
+    /// Digest of everything absorbed so far followed by `tail`, leaving the
+    /// hasher untouched. When the buffered bytes plus `tail` fit in two
+    /// padded blocks (at most 119 bytes; 55 for one), the padded message is
+    /// built on the stack and compressed in one kernel call from a copy of
+    /// the state, with no hasher clone and no `update` pass. This is HMAC's
+    /// hot path: both of its finishing hashes start from a precomputed pad
+    /// state, and every authenticator message in the workspace fits.
+    pub(crate) fn finalize_with(&self, tail: &[u8]) -> Digest256 {
+        let n = self.buffer_len;
+        let len = n + tail.len();
+        if len > 119 {
+            let mut h = self.clone();
+            h.update(tail);
+            return h.finalize();
+        }
+        // Padding: 0x80, zeros, 64-bit big-endian bit length.
+        let end = if len < 56 { 64 } else { 128 };
+        let mut blocks = [0u8; 128];
+        blocks[..n].copy_from_slice(&self.buffer[..n]);
+        blocks[n..len].copy_from_slice(tail);
+        blocks[len] = 0x80;
+        let bit_len = self
+            .total_len
+            .wrapping_add(tail.len() as u64)
+            .wrapping_mul(8);
+        blocks[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        let mut state = self.state;
+        sha256_compress(&mut state, &blocks[..end]);
+        digest_from_state(&state)
     }
 
     /// Finishes the hash, returns the digest, and resets the hasher for the
     /// next input. This is the reuse primitive behind [`sha256_many`]: a
     /// single hasher streams through many inputs with zero per-input setup.
     pub fn finalize_reset(&mut self) -> Digest256 {
-        let digest = self.finalize_digest();
+        let digest = self.finalize_with(&[]);
         self.reset();
         digest
     }
+}
 
-    fn finalize_digest(&mut self) -> Digest256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length — written straight
-        // into the block buffer (a byte-at-a-time `update` loop here would
-        // cost as much as the compression itself on short inputs, and every
-        // HMAC finalizes two short hashes).
-        let n = self.buffer_len;
-        self.buffer[n] = 0x80;
-        if n + 1 > 56 {
-            self.buffer[n + 1..].fill(0);
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer[..56].fill(0);
-        } else {
-            self.buffer[n + 1..56].fill(0);
-        }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest256(out)
+fn digest_from_state(state: &[u32; 8]) -> Digest256 {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest256(out)
+}
+
+/// The SHA-256 compression function over `blocks`, a whole number of
+/// 64-byte blocks, on the SHA-NI kernel when this CPU has it and on
+/// [`sha256_compress_portable`] otherwise. Both leave the same state bit
+/// for bit.
+///
+/// # Panics
+///
+/// If `blocks.len()` is not a multiple of 64.
+pub fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "whole 64-byte blocks only");
+    if !sha_ni::compress_blocks(state, blocks) {
+        sha256_compress_portable(state, blocks);
+    }
+}
+
+/// [`sha256_compress`] on the portable kernel, whatever the CPU: the
+/// fallback and the reference the SHA-NI kernel is tested against.
+///
+/// # Panics
+///
+/// If `blocks.len()` is not a multiple of 64.
+pub fn sha256_compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "whole 64-byte blocks only");
+    for block in blocks.chunks_exact(64) {
+        compress_portable(state, block.try_into().expect("64 bytes"));
+    }
+}
+
+/// Name of the SHA-256 compression kernel this process runs: `"sha-ni"`
+/// when the CPU has the SHA extensions (with SSSE3 and SSE4.1), else
+/// `"portable"`. Host-time hashing figures are only comparable between
+/// runs that report the same backend.
+pub fn sha256_backend() -> &'static str {
+    if sha_ni::available() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
+
+/// The portable FIPS 180-4 compression of one block.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    // Fully unrolled: the message schedule lives in a 16-word ring extended
+    // in place, and the eight working variables rotate *roles* through the
+    // macro's argument order instead of being shuffled through eight moves
+    // per round. Both keep everything in registers.
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    macro_rules! rnd {
+        ($a:ident,$b:ident,$c:ident,$d:ident,$e:ident,$f:ident,$g:ident,$h:ident,$k:expr,$w:expr) => {{
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add(($e & $f) ^ (!$e & $g))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        }};
+    }
+    macro_rules! extend {
+        ($i:expr) => {{
+            let s0 = w[($i + 1) & 15].rotate_right(7)
+                ^ w[($i + 1) & 15].rotate_right(18)
+                ^ (w[($i + 1) & 15] >> 3);
+            let s1 = w[($i + 14) & 15].rotate_right(17)
+                ^ w[($i + 14) & 15].rotate_right(19)
+                ^ (w[($i + 14) & 15] >> 10);
+            w[$i] = w[$i]
+                .wrapping_add(s0)
+                .wrapping_add(w[($i + 9) & 15])
+                .wrapping_add(s1);
+        }};
+    }
+    macro_rules! sixteen {
+        ($base:expr) => {{
+            rnd!(a, b, c, d, e, f, g, h, SHA256_K[$base], w[0]);
+            rnd!(h, a, b, c, d, e, f, g, SHA256_K[$base + 1], w[1]);
+            rnd!(g, h, a, b, c, d, e, f, SHA256_K[$base + 2], w[2]);
+            rnd!(f, g, h, a, b, c, d, e, SHA256_K[$base + 3], w[3]);
+            rnd!(e, f, g, h, a, b, c, d, SHA256_K[$base + 4], w[4]);
+            rnd!(d, e, f, g, h, a, b, c, SHA256_K[$base + 5], w[5]);
+            rnd!(c, d, e, f, g, h, a, b, SHA256_K[$base + 6], w[6]);
+            rnd!(b, c, d, e, f, g, h, a, SHA256_K[$base + 7], w[7]);
+            rnd!(a, b, c, d, e, f, g, h, SHA256_K[$base + 8], w[8]);
+            rnd!(h, a, b, c, d, e, f, g, SHA256_K[$base + 9], w[9]);
+            rnd!(g, h, a, b, c, d, e, f, SHA256_K[$base + 10], w[10]);
+            rnd!(f, g, h, a, b, c, d, e, SHA256_K[$base + 11], w[11]);
+            rnd!(e, f, g, h, a, b, c, d, SHA256_K[$base + 12], w[12]);
+            rnd!(d, e, f, g, h, a, b, c, SHA256_K[$base + 13], w[13]);
+            rnd!(c, d, e, f, g, h, a, b, SHA256_K[$base + 14], w[14]);
+            rnd!(b, c, d, e, f, g, h, a, SHA256_K[$base + 15], w[15]);
+        }};
+    }
+    macro_rules! extend_sixteen {
+        () => {{
+            extend!(0);
+            extend!(1);
+            extend!(2);
+            extend!(3);
+            extend!(4);
+            extend!(5);
+            extend!(6);
+            extend!(7);
+            extend!(8);
+            extend!(9);
+            extend!(10);
+            extend!(11);
+            extend!(12);
+            extend!(13);
+            extend!(14);
+            extend!(15);
+        }};
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        // Fully unrolled FIPS 180-4 compression: the message schedule lives
-        // in a 16-word ring extended in place, and the eight working
-        // variables rotate *roles* through the macro's argument order
-        // instead of being shuffled through eight moves per round. Both
-        // keep everything in registers — this function is the floor under
-        // every HMAC validation in the workspace (two compressions per
-        // authenticator check), so the hand-unroll is worth its bulk.
-        let mut w = [0u32; 16];
-        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *wi = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+    sixteen!(0);
+    extend_sixteen!();
+    sixteen!(16);
+    extend_sixteen!();
+    sixteen!(32);
+    extend_sixteen!();
+    sixteen!(48);
 
-        macro_rules! rnd {
-            ($a:ident,$b:ident,$c:ident,$d:ident,$e:ident,$f:ident,$g:ident,$h:ident,$k:expr,$w:expr) => {{
-                let t1 = $h
-                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
-                    .wrapping_add(($e & $f) ^ (!$e & $g))
-                    .wrapping_add($k)
-                    .wrapping_add($w);
-                let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
-                    .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
-                $d = $d.wrapping_add(t1);
-                $h = t1.wrapping_add(t2);
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The SHA-NI compression kernel (Intel SHA extensions), selected at run
+/// time by [`sha_ni::available`].
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::SHA256_K;
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// True when this CPU can run [`kernel`]. Detected once per process.
+    pub(super) fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        })
+    }
+
+    /// Compresses `blocks` into `state` on the SHA-NI kernel and returns
+    /// true, or leaves `state` untouched and returns false when this CPU
+    /// lacks the instructions.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `kernel` is a safe function whose only precondition is the
+        // CPU support for the target features it enables. `available()` has
+        // just confirmed `sha`, `ssse3` and `sse4.1`, and `sse2` is part of
+        // the x86_64 baseline.
+        #[allow(unsafe_code)]
+        unsafe {
+            kernel(state, blocks)
+        };
+        true
+    }
+
+    /// SHA-256 over whole 64-byte blocks with `sha256rnds2` (two rounds per
+    /// instruction) and `sha256msg1`/`sha256msg2` (message schedule). The
+    /// eight working variables live in two lanes, ABEF and CDGH (highest
+    /// lane first), for the whole run of blocks.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
+        let lanes =
+            |w: [u32; 4]| _mm_setr_epi32(w[0] as i32, w[1] as i32, w[2] as i32, w[3] as i32);
+        let mut abef = lanes([state[5], state[4], state[1], state[0]]);
+        let mut cdgh = lanes([state[7], state[6], state[3], state[2]]);
+
+        // Four rounds: add the round constants to the four schedule words,
+        // then two `sha256rnds2`, each consuming the low two words.
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {{
+                let k = [
+                    SHA256_K[4 * $i],
+                    SHA256_K[4 * $i + 1],
+                    SHA256_K[4 * $i + 2],
+                    SHA256_K[4 * $i + 3],
+                ];
+                let wk = _mm_add_epi32($w, lanes(k));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
             }};
         }
-        macro_rules! extend {
-            ($i:expr) => {{
-                let s0 = w[($i + 1) & 15].rotate_right(7)
-                    ^ w[($i + 1) & 15].rotate_right(18)
-                    ^ (w[($i + 1) & 15] >> 3);
-                let s1 = w[($i + 14) & 15].rotate_right(17)
-                    ^ w[($i + 14) & 15].rotate_right(19)
-                    ^ (w[($i + 14) & 15] >> 10);
-                w[$i] = w[$i]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[($i + 9) & 15])
-                    .wrapping_add(s1);
-            }};
-        }
-        macro_rules! sixteen {
-            ($base:expr) => {{
-                rnd!(a, b, c, d, e, f, g, h, SHA256_K[$base], w[0]);
-                rnd!(h, a, b, c, d, e, f, g, SHA256_K[$base + 1], w[1]);
-                rnd!(g, h, a, b, c, d, e, f, SHA256_K[$base + 2], w[2]);
-                rnd!(f, g, h, a, b, c, d, e, SHA256_K[$base + 3], w[3]);
-                rnd!(e, f, g, h, a, b, c, d, SHA256_K[$base + 4], w[4]);
-                rnd!(d, e, f, g, h, a, b, c, SHA256_K[$base + 5], w[5]);
-                rnd!(c, d, e, f, g, h, a, b, SHA256_K[$base + 6], w[6]);
-                rnd!(b, c, d, e, f, g, h, a, SHA256_K[$base + 7], w[7]);
-                rnd!(a, b, c, d, e, f, g, h, SHA256_K[$base + 8], w[8]);
-                rnd!(h, a, b, c, d, e, f, g, SHA256_K[$base + 9], w[9]);
-                rnd!(g, h, a, b, c, d, e, f, SHA256_K[$base + 10], w[10]);
-                rnd!(f, g, h, a, b, c, d, e, SHA256_K[$base + 11], w[11]);
-                rnd!(e, f, g, h, a, b, c, d, SHA256_K[$base + 12], w[12]);
-                rnd!(d, e, f, g, h, a, b, c, SHA256_K[$base + 13], w[13]);
-                rnd!(c, d, e, f, g, h, a, b, SHA256_K[$base + 14], w[14]);
-                rnd!(b, c, d, e, f, g, h, a, SHA256_K[$base + 15], w[15]);
-            }};
-        }
-        macro_rules! extend_sixteen {
-            () => {{
-                extend!(0);
-                extend!(1);
-                extend!(2);
-                extend!(3);
-                extend!(4);
-                extend!(5);
-                extend!(6);
-                extend!(7);
-                extend!(8);
-                extend!(9);
-                extend!(10);
-                extend!(11);
-                extend!(12);
-                extend!(13);
-                extend!(14);
-                extend!(15);
-            }};
+        // W[t..t+4] from the previous sixteen words, held in four lanes.
+        macro_rules! schedule {
+            ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+                _mm_sha256msg2_epu32(
+                    _mm_add_epi32(
+                        _mm_sha256msg1_epu32($w0, $w1),
+                        _mm_alignr_epi8::<4>($w3, $w2),
+                    ),
+                    $w3,
+                )
+            };
         }
 
-        sixteen!(0);
-        extend_sixteen!();
-        sixteen!(16);
-        extend_sixteen!();
-        sixteen!(32);
-        extend_sixteen!();
-        sixteen!(48);
+        for block in blocks.chunks_exact(64) {
+            let word =
+                |i: usize| u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+            let mut w0 = lanes([word(0), word(1), word(2), word(3)]);
+            let mut w1 = lanes([word(4), word(5), word(6), word(7)]);
+            let mut w2 = lanes([word(8), word(9), word(10), word(11)]);
+            let mut w3 = lanes([word(12), word(13), word(14), word(15)]);
+            let (abef_in, cdgh_in) = (abef, cdgh);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            // Rounds 16..64: the schedule rotates through the same four
+            // registers, each refilled from the four before it.
+            for i in 1..4 {
+                w0 = schedule!(w0, w1, w2, w3);
+                rounds4!(w0, 4 * i);
+                w1 = schedule!(w1, w2, w3, w0);
+                rounds4!(w1, 4 * i + 1);
+                w2 = schedule!(w2, w3, w0, w1);
+                rounds4!(w2, 4 * i + 2);
+                w3 = schedule!(w3, w0, w1, w2);
+                rounds4!(w3, 4 * i + 3);
+            }
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ];
+    }
+}
+
+/// Stand-in on targets without the x86 SHA extensions: the portable
+/// compression always runs.
+#[cfg(not(target_arch = "x86_64"))]
+mod sha_ni {
+    pub(super) fn available() -> bool {
+        false
+    }
+
+    pub(super) fn compress_blocks(_state: &mut [u32; 8], _blocks: &[u8]) -> bool {
+        false
     }
 }
 
@@ -479,7 +675,7 @@ impl Sha512 {
 
     fn finalize_digest(&mut self) -> Digest512 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Same direct padding as Sha256::finalize_digest (0x80, zeros,
+        // Padding written straight into the block buffer (0x80, zeros,
         // 128-bit big-endian length), skipping the per-byte update path.
         let n = self.buffer_len;
         self.buffer[n] = 0x80;
@@ -633,38 +829,194 @@ where
 mod tests {
     use super::*;
 
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    fn hardware(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(sha_ni::compress_blocks(state, blocks), "SHA-NI absent");
+    }
+
+    /// Every compression this CPU can run, each called directly. The
+    /// hardware half is absent on a CPU without SHA-NI.
+    fn backends() -> Vec<(&'static str, Compress)> {
+        let mut all: Vec<(&'static str, Compress)> = vec![("portable", sha256_compress_portable)];
+        if sha_ni::available() {
+            all.push(("sha-ni", hardware));
+        }
+        all
+    }
+
+    /// One-shot SHA-256 padded here, independently of [`Sha256`], with every
+    /// block compressed by `compress`.
+    fn sha256_via(compress: Compress, data: &[u8]) -> Digest256 {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        msg.resize(msg.len().next_multiple_of(64).max(64), 0);
+        if msg.len() - data.len() < 9 {
+            msg.resize(msg.len() + 64, 0);
+        }
+        let at = msg.len() - 8;
+        msg[at..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = SHA256_INIT;
+        compress(&mut state, &msg);
+        digest_from_state(&state)
+    }
+
+    /// Checks a known SHA-256 digest on the dispatched hasher and on every
+    /// backend directly.
+    fn assert_sha256(data: &[u8], hex: &str) {
+        assert_eq!(sha256(data).to_hex(), hex, "dispatched");
+        for (name, compress) in backends() {
+            assert_eq!(sha256_via(compress, data).to_hex(), hex, "{name}");
+        }
+    }
+
     // NIST / well-known test vectors.
     #[test]
     fn sha256_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_sha256(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_sha256(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn sha256_two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_sha256(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn sha256_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_sha256(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    /// Textbook RFC 2104 HMAC over `sha256_via`, sharing no code with
+    /// [`crate::HmacSha256Key`].
+    fn hmac_via(compress: Compress, key: &[u8], message: &[u8]) -> Digest256 {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(sha256_via(compress, key).as_bytes());
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| block.iter().map(|b| b ^ byte).collect::<Vec<u8>>();
+        let inner = sha256_via(compress, &[pad(0x36), message.to_vec()].concat());
+        sha256_via(compress, &[pad(0x5c), inner.as_bytes().to_vec()].concat())
+    }
+
+    #[test]
+    fn rfc4231_hmac_sha256_on_every_backend() {
+        let cases: [(&[u8], &[u8], &str); 5] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than \
+                  block-size data. The key needs to be hashed before being used by the \
+                  HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (key, message, hex) in cases {
+            assert_eq!(crate::hmac_sha256(key, message).to_hex(), hex, "dispatched");
+            for (name, compress) in backends() {
+                assert_eq!(hmac_via(compress, key, message).to_hex(), hex, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn finalize_with_matches_update_then_finalize() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 % 251) as u8).collect();
+        // Prefixes leave the buffer empty, partly full and nearly full; tails
+        // straddle the one-block (55-byte) and two-block (119-byte) limits.
+        for prefix in [0usize, 1, 20, 55, 56, 63, 64, 65, 100] {
+            let mut h = Sha256::new();
+            h.update(&data[..prefix]);
+            for tail in [0usize, 1, 30, 35, 36, 54, 55, 56, 64, 99, 119, 120, 180] {
+                let tail = &data[prefix..prefix + tail];
+                let mut expected = h.clone();
+                expected.update(tail);
+                assert_eq!(
+                    h.finalize_with(tail),
+                    expected.finalize(),
+                    "prefix={prefix} tail={}",
+                    tail.len()
+                );
+            }
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn sha_ni_compression_matches_portable(
+                s in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(),
+                      any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+                bytes in proptest::collection::vec(any::<u8>(), 64..400),
+            ) {
+                if !sha_ni::available() {
+                    return;
+                }
+                let blocks = &bytes[..bytes.len() / 64 * 64];
+                let mut expected = [s.0, s.1, s.2, s.3, s.4, s.5, s.6, s.7];
+                let mut actual = expected;
+                sha256_compress_portable(&mut expected, blocks);
+                hardware(&mut actual, blocks);
+                prop_assert_eq!(actual, expected);
+            }
+
+            #[test]
+            fn split_updates_match_one_shot_on_every_backend(
+                data in proptest::collection::vec(any::<u8>(), 0..300),
+                cuts in (0usize..300, 0usize..300),
+            ) {
+                let (a, b) = (cuts.0.min(data.len()), cuts.1.min(data.len()));
+                let (a, b) = (a.min(b), a.max(b));
+                let mut h = Sha256::new();
+                h.update(&data[..a]);
+                h.update(&data[a..b]);
+                h.update(&data[b..]);
+                let streamed = h.finalize();
+                for (name, compress) in backends() {
+                    prop_assert_eq!(streamed, sha256_via(compress, &data), "{}", name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@ const BATCH_ROOT_DOMAIN: &[u8; 19] = b"setchain-batch-root";
 /// absorptions depend only on the key, so verifying many messages under the
 /// same key — a collector batch signed by one client, a vote stream from one
 /// validator — can pay them once: `HmacSha256Key::new` captures the
-/// post-pad hasher states and [`mac`](Self::mac) clones them per message.
+/// post-pad hasher states and [`mac`](Self::mac) finishes from them per
+/// message.
 #[derive(Clone)]
 pub struct HmacSha256Key {
     inner: Sha256,
@@ -55,14 +56,12 @@ impl HmacSha256Key {
         HmacSha256Key { inner, outer }
     }
 
-    /// HMAC-SHA-256 of `message` under this key.
+    /// HMAC-SHA-256 of `message` under this key. For a message of at most
+    /// 119 bytes both finishing hashes pad on the stack and compress
+    /// straight from the precomputed pad states.
     pub fn mac(&self, message: &[u8]) -> Digest256 {
-        let mut h = self.inner.clone();
-        h.update(message);
-        let digest = h.finalize();
-        let mut o = self.outer.clone();
-        o.update(digest.as_bytes());
-        o.finalize()
+        let digest = self.inner.finalize_with(message);
+        self.outer.finalize_with(digest.as_bytes())
     }
 }
 

@@ -17,7 +17,7 @@
 //! nothing here should be used outside of this reproduction for real
 //! security purposes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fxhash;
@@ -29,7 +29,10 @@ pub mod parallel;
 pub mod signature;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use hash::{sha256, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
+pub use hash::{
+    sha256, sha256_backend, sha256_compress, sha256_compress_portable, sha256_many, sha512,
+    Digest256, Digest512, Sha256, Sha512,
+};
 pub use hmac::{
     hmac_sha256, hmac_sha512, mac_batch_root, verify_batch_root, HmacSha256Key, HmacSha512Key,
 };

@@ -587,8 +587,9 @@ impl<A: Application> LedgerNode<A> {
                 self.commit_block(block, cert, ctx);
             } else if let Some(voters) = self.precommits.get(&(height, block_id)) {
                 // We saw a commit quorum but missed the proposal: fetch the
-                // block from one of the precommitters.
-                if let Some(peer) = voters.iter().find(|p| **p != self.id) {
+                // block from the lowest-id precommitter. `voters` is a hash
+                // set, so its iteration order is not a deterministic choice.
+                if let Some(peer) = voters.iter().filter(|p| **p != self.id).min() {
                     ctx.send(*peer, NetMsg::BlockSyncRequest { height });
                 }
             }

@@ -412,6 +412,9 @@ impl HashchainApp {
                 .map(|hb| hb.signer),
         );
         candidates.retain(|c| !pending.asked.contains(c) && *c != self.core.id());
+        // Lowest id first: the signer set is a hash set, so its iteration
+        // order must not pick the retry target.
+        candidates.sort_unstable();
         candidates.dedup();
         if pending.asked.len() < self.core.config.max_request_retries {
             if let Some(next) = candidates.first().copied() {

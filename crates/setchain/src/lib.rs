@@ -70,7 +70,6 @@ pub mod proofs;
 pub mod quota;
 pub mod server;
 pub mod shard;
-pub mod sortition;
 pub mod state;
 pub mod trace;
 pub mod tx;
@@ -96,7 +95,6 @@ pub use proofs::{
 pub use quota::{QuotaState, QuotaVerdict, PENDING_RETRY};
 pub use server::{ServerCore, ServerStats, ShardStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};
 pub use shard::{aggregate_epoch, sub_epoch_commitment, ShardRing, ShardedEpoch, SubEpoch};
-pub use sortition::{round_seed, select_committee, verify_member, Candidate};
 pub use state::SetchainState;
 pub use trace::SetchainTrace;
 pub use tx::{CompressedBatch, HashBatch, SetchainTx};

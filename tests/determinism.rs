@@ -8,9 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, AuthMode, ElementId};
+use setchain::{Algorithm, AuthMode, ElementId, ServerByzMode};
+use setchain_ledger::ByzMode;
 use setchain_simnet::SimTime;
-use setchain_workload::Deployment;
+use setchain_workload::{Deployment, Scenario};
 
 /// Full fingerprint of one deployment run: scheduler counters plus the
 /// per-server committed (stamped) element sets and epoch boundaries.
@@ -49,7 +50,11 @@ fn run_once_sharded(
         .seed(seed)
         .build();
     deployment.sim.run_until(SimTime::from_secs(12));
-    let epochs = (0..4)
+    fingerprint(&deployment, 4, SimTime::from_secs(12))
+}
+
+fn fingerprint(deployment: &Deployment, servers: usize, end: SimTime) -> RunFingerprint {
+    let epochs = (0..servers)
         .map(|i| {
             let state = deployment.server(i).state();
             (1..=state.epoch())
@@ -68,7 +73,7 @@ fn run_once_sharded(
         events_processed: deployment.sim.events_processed(),
         messages_deferred: deployment.sim.messages_deferred(),
         added: deployment.trace.added_count(),
-        committed: deployment.trace.committed_count_by(SimTime::from_secs(12)),
+        committed: deployment.trace.committed_count_by(end),
         epochs,
     }
 }
@@ -137,6 +142,51 @@ fn sharded_runs_reproduce_and_match_the_unsharded_schedule() {
              committed element sets"
         );
         assert!(first.committed > 0, "{algorithm:?}: nothing committed");
+    }
+}
+
+/// Under silent and precommit-withholding validators, correct nodes fetch
+/// blocks they missed from a precommitter; under a server refusing batch
+/// service, hash reversal retries with another signer. Both choices pick
+/// from hash sets, so they must follow a fixed order, not the set's
+/// iteration order, for a rerun to reproduce the run.
+#[test]
+fn same_seed_reproduces_a_mixed_fault_run() {
+    let run = || {
+        let scenario = Scenario::base(Algorithm::Hashchain)
+            .with_servers(10)
+            .with_rate(500.0)
+            .with_collector(50)
+            .with_injection_secs(4)
+            .with_max_run_secs(90)
+            .with_seed(7);
+        let mut deployment = Deployment::build_with_faults(
+            &scenario,
+            &[
+                (7, ServerByzMode::RefuseBatchService),
+                (8, ServerByzMode::ForgeProofs),
+                (9, ServerByzMode::InjectInvalidElements),
+            ],
+            &[(5, ByzMode::Silent), (6, ByzMode::WithholdPrecommit)],
+        );
+        let end = SimTime::from_secs(90);
+        deployment.sim.run_until(end);
+        fingerprint(&deployment, 10, end)
+    };
+    let first = run();
+    assert!(first.committed > 0, "nothing committed under mixed faults");
+    for rerun in 1..3 {
+        let again = run();
+        // The fingerprint holds every epoch of ten servers; report only
+        // the counters when it differs.
+        assert!(
+            first == again,
+            "rerun {rerun} diverged from the first run: {} vs {} events, {} vs {} committed",
+            first.events_processed,
+            again.events_processed,
+            first.committed,
+            again.committed
+        );
     }
 }
 
